@@ -1,7 +1,10 @@
 //! Golden-output tests: with telemetry off, the `serving` and
 //! `fault-drill` reports are byte-identical to the pre-telemetry
 //! captures under `tests/golden/` — instrumenting the simulators must
-//! not perturb a single byte of the default output.
+//! not perturb a single byte of the default output. Every registry
+//! entry backed by the `FlowSim` flow solver is pinned the same way, so
+//! a change to the solver's event loop proves it moved no reported
+//! number.
 
 use dsv3_core::registry;
 use dsv3_core::telemetry::Recorder;
@@ -40,6 +43,39 @@ fn fault_drill_json_report_matches_golden() {
     assert_eq!(json("fault-drill"), include_str!("golden/fault_drill.json"));
 }
 
+/// One text and one JSON golden test for a registry entry whose golden
+/// files are `tests/golden/<file>.{txt,json}`.
+macro_rules! golden {
+    ($text:ident, $json:ident, $name:literal, $file:literal) => {
+        #[test]
+        fn $text() {
+            assert_eq!(rendered($name), include_str!(concat!("golden/", $file, ".txt")));
+        }
+
+        #[test]
+        fn $json() {
+            assert_eq!(json($name), include_str!(concat!("golden/", $file, ".json")));
+        }
+    };
+}
+
+golden!(fig5_text_report_matches_golden, fig5_json_report_matches_golden, "fig5", "fig5");
+golden!(fig6_text_report_matches_golden, fig6_json_report_matches_golden, "fig6", "fig6");
+golden!(fig7_text_report_matches_golden, fig7_json_report_matches_golden, "fig7", "fig7");
+golden!(fig8_text_report_matches_golden, fig8_json_report_matches_golden, "fig8", "fig8");
+golden!(
+    robustness_text_report_matches_golden,
+    robustness_json_report_matches_golden,
+    "robustness",
+    "robustness"
+);
+golden!(
+    net_chaos_text_report_matches_golden,
+    net_chaos_json_report_matches_golden,
+    "net-chaos",
+    "net_chaos"
+);
+
 /// The instrumented path computes the same report the plain path does —
 /// the trace is a pure side channel.
 #[test]
@@ -51,6 +87,7 @@ fn instrumented_reports_match_goldens_too() {
             include_str!("golden/fault_drill.txt"),
             include_str!("golden/fault_drill.json"),
         ),
+        ("net-chaos", include_str!("golden/net_chaos.txt"), include_str!("golden/net_chaos.json")),
     ] {
         let mut rec = Recorder::new();
         let run = (entry(name).instrumented.expect("traceable"))(&mut rec);
