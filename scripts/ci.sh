@@ -32,52 +32,43 @@ if ./target/release/dsv3 lint --readiness | grep -q "NOT READY"; then
 fi
 ./target/release/dsv3 lint --rules U2,F2,R2,P3 > /dev/null
 
+# One scratch directory for every smoke artifact, removed on exit.
+tmp="$(mktemp -d /tmp/dsv3_ci.XXXXXX)"
+trap 'rm -rf "$tmp"' EXIT
+
 echo "==> telemetry smoke: dsv3 serving --trace-out emits a valid Chrome trace"
-trace_tmp="$(mktemp /tmp/dsv3_trace.XXXXXX.json)"
-chaos_tmp="$(mktemp /tmp/dsv3_chaos.XXXXXX.json)"
-trap 'rm -f "$trace_tmp" "$chaos_tmp"' EXIT
-./target/release/dsv3 serving --trace-out "$trace_tmp" > /dev/null
-./target/release/dsv3 check-trace "$trace_tmp"
+./target/release/dsv3 serving --trace-out "$tmp/trace.json" > /dev/null
+./target/release/dsv3 check-trace "$tmp/trace.json"
 
 echo "==> chaos smoke: dsv3 net-chaos --json + --trace-out round-trip"
 ./target/release/dsv3 net-chaos --json > /dev/null
-./target/release/dsv3 net-chaos --trace-out "$chaos_tmp" > /dev/null
-./target/release/dsv3 check-trace "$chaos_tmp"
+./target/release/dsv3 net-chaos --trace-out "$tmp/chaos.json" > /dev/null
+./target/release/dsv3 check-trace "$tmp/chaos.json"
 
 echo "==> memory-timeline smoke: dsv3 mem-timeline --json + --trace-out round-trip"
-memtl_tmp="$(mktemp /tmp/dsv3_memtl.XXXXXX.json)"
-trap 'rm -f "$trace_tmp" "$chaos_tmp" "$memtl_tmp"' EXIT
 ./target/release/dsv3 mem-timeline --json > /dev/null
-./target/release/dsv3 mem-timeline --trace-out "$memtl_tmp" > /dev/null
-./target/release/dsv3 check-trace "$memtl_tmp"
+./target/release/dsv3 mem-timeline --trace-out "$tmp/memtl.json" > /dev/null
+./target/release/dsv3 check-trace "$tmp/memtl.json"
 
 echo "==> overload smoke: dsv3 overload --json + --trace-out round-trip"
-overload_tmp="$(mktemp /tmp/dsv3_overload.XXXXXX.json)"
-trap 'rm -f "$trace_tmp" "$chaos_tmp" "$memtl_tmp" "$overload_tmp"' EXIT
 ./target/release/dsv3 overload --json > /dev/null
-./target/release/dsv3 overload --trace-out "$overload_tmp" > /dev/null
-./target/release/dsv3 check-trace "$overload_tmp"
+./target/release/dsv3 overload --trace-out "$tmp/overload.json" > /dev/null
+./target/release/dsv3 check-trace "$tmp/overload.json"
 
 echo "==> resilience smoke: dsv3 resilience --json + --trace-out round-trip"
-resilience_tmp="$(mktemp /tmp/dsv3_resilience.XXXXXX.json)"
-resilience_metrics_tmp="$(mktemp /tmp/dsv3_resilience_metrics.XXXXXX.json)"
-trap 'rm -f "$trace_tmp" "$chaos_tmp" "$memtl_tmp" "$overload_tmp" "$resilience_tmp" "$resilience_metrics_tmp"' EXIT
 ./target/release/dsv3 resilience --json > /dev/null
-./target/release/dsv3 resilience --trace-out "$resilience_tmp" > /dev/null
-./target/release/dsv3 check-trace "$resilience_tmp"
-./target/release/dsv3 resilience --metrics-out "$resilience_metrics_tmp" > /dev/null
-./target/release/dsv3 check-metrics "$resilience_metrics_tmp"
+./target/release/dsv3 resilience --trace-out "$tmp/resilience.json" > /dev/null
+./target/release/dsv3 check-trace "$tmp/resilience.json"
+./target/release/dsv3 resilience --metrics-out "$tmp/resilience_metrics.json" > /dev/null
+./target/release/dsv3 check-metrics "$tmp/resilience_metrics.json"
 
 echo "==> metrics smoke: dsv3 serving --metrics-out emits a valid metrics document"
-metrics_tmp="$(mktemp /tmp/dsv3_metrics.XXXXXX.json)"
-incidents_tmp="$(mktemp /tmp/dsv3_incidents.XXXXXX.json)"
-trap 'rm -f "$trace_tmp" "$chaos_tmp" "$memtl_tmp" "$overload_tmp" "$resilience_tmp" "$resilience_metrics_tmp" "$metrics_tmp" "$incidents_tmp"' EXIT
-./target/release/dsv3 serving --metrics-out "$metrics_tmp" > /dev/null
-./target/release/dsv3 check-metrics "$metrics_tmp"
+./target/release/dsv3 serving --metrics-out "$tmp/metrics.json" > /dev/null
+./target/release/dsv3 check-metrics "$tmp/metrics.json"
 
 echo "==> audit smoke: dsv3 audit overload fires the watchdog deterministically"
-./target/release/dsv3 audit overload --incidents-out "$incidents_tmp" > /dev/null
-grep -q '"detector": "metastability"' "$incidents_tmp"
+./target/release/dsv3 audit overload --incidents-out "$tmp/incidents.json" > /dev/null
+grep -q '"detector": "metastability"' "$tmp/incidents.json"
 
 echo "==> bench gate: watch overhead within budget, no >25% regression"
 scripts/bench_gate.sh run watch
@@ -87,6 +78,9 @@ scripts/bench_gate.sh run lint
 
 echo "==> bench gate: degenerate resilience walk within 1.2x of simulate_goodput"
 scripts/bench_gate.sh run resilience
+
+echo "==> bench gate: FlowSim/ChaosSim solver costs, no >25% regression"
+scripts/bench_gate.sh run netchaos
 
 echo "==> examples build"
 cargo build --release --offline --examples
