@@ -4,7 +4,9 @@
 //! not perturb a single byte of the default output. Every registry
 //! entry backed by the `FlowSim` flow solver is pinned the same way, so
 //! a change to the solver's event loop proves it moved no reported
-//! number.
+//! number. The four §3 numerics entries (`fp8-gemm`, `logfmt`,
+//! `combine-formats`, `fp8-training`) are pinned so the FP8/BF16 codec
+//! and tensor-core kernels can be rewritten without moving a bit.
 
 use dsv3_core::registry;
 use dsv3_core::telemetry::Recorder;
@@ -75,6 +77,26 @@ golden!(
     "net-chaos",
     "net_chaos"
 );
+golden!(
+    fp8_gemm_text_report_matches_golden,
+    fp8_gemm_json_report_matches_golden,
+    "fp8-gemm",
+    "fp8_gemm"
+);
+golden!(logfmt_text_report_matches_golden, logfmt_json_report_matches_golden, "logfmt", "logfmt");
+golden!(
+    combine_formats_text_report_matches_golden,
+    combine_formats_json_report_matches_golden,
+    "combine-formats",
+    "combine_formats"
+);
+
+/// JSON only: the text view re-trains all four backends a second time,
+/// and both views come from the same `fp8_training::run`.
+#[test]
+fn fp8_training_json_report_matches_golden() {
+    assert_eq!(json("fp8-training"), include_str!("golden/fp8_training.json"));
+}
 
 /// The instrumented path computes the same report the plain path does —
 /// the trace is a pure side channel.
