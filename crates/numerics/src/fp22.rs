@@ -80,39 +80,73 @@ impl std::fmt::Display for Fp22 {
 
 /// Round `x` to `bits` explicit fraction bits (round-to-nearest-even),
 /// preserving the exponent. Infinities, NaN and zero pass through.
+///
+/// Works on the IEEE-754 bits: the significand's bits below the kept
+/// fraction are rounded away as an integer, and a carry out of the fraction
+/// runs into the exponent field (up to infinity above `f64::MAX`).
 #[must_use]
 pub fn round_to_mantissa_bits(x: f64, bits: u32) -> f64 {
-    if x == 0.0 || !x.is_finite() {
+    let (sig, _) = significand(x);
+    let shift = 63 - sig.leading_zeros() as i32 - bits as i32;
+    if sig == 0 || !x.is_finite() || shift <= 0 {
         return x;
     }
-    let e = exponent_of(x);
-    let scale = 2f64.powi(e - bits as i32);
-    (x / scale).round_ties_even() * scale
+    // The stored bits are `sig` plus an offset (the exponent field less its
+    // implicit one), so swapping `sig` for its rounding lets a carry out of
+    // the fraction run into the exponent.
+    f64::from_bits(x.to_bits() - sig + (round_shift_even(sig, shift) << shift))
 }
 
 /// Truncate `x` toward zero at `bits` explicit fraction bits relative to the
 /// binade of `reference_exponent` (used by the tensor-core alignment step).
+///
+/// The grid step is `2^(reference_exponent - bits)`; clearing the stored
+/// bits below it truncates toward zero, and an `x` entirely below it
+/// becomes a zero of `x`'s sign. Expects `|x| < 2^(reference_exponent + 1)`.
 #[must_use]
 pub fn truncate_at_exponent(x: f64, reference_exponent: i32, bits: u32) -> f64 {
-    if x == 0.0 || !x.is_finite() {
-        return x;
+    let (_, lsb) = significand(x);
+    let shift = reference_exponent - bits as i32 - lsb;
+    // Keep the stored bits at or above the grid step, or only the sign
+    // when all of them lie below it.
+    let keep = if shift > 52 { SIGN } else { !0 << shift.max(0) };
+    if x.is_finite() {
+        f64::from_bits(x.to_bits() & keep)
+    } else {
+        x
     }
-    let scale = 2f64.powi(reference_exponent - bits as i32);
-    (x / scale).trunc() * scale
 }
 
-/// Floor of log2(|x|) for finite nonzero `x`.
+/// Floor of log2(|x|) for finite nonzero `x`, read from the exponent field
+/// (f64 subnormals from their leading fraction bit).
 #[must_use]
 pub fn exponent_of(x: f64) -> i32 {
-    let mut e = x.abs().log2().floor() as i32;
-    // Guard against log2 imprecision at binade edges.
-    let a = x.abs();
-    if 2f64.powi(e + 1) <= a {
-        e += 1;
-    } else if 2f64.powi(e) > a {
-        e -= 1;
+    let (sig, lsb) = significand(x);
+    lsb + 63 - sig.leading_zeros() as i32
+}
+
+/// The sign bit of an `f64`.
+pub(crate) const SIGN: u64 = 1 << 63;
+
+/// `|x| = sig · 2^lsb` with the integer significand `sig < 2^53` (the
+/// implicit leading one included for normal numbers).
+pub(crate) fn significand(x: f64) -> (u64, i32) {
+    let bits = x.to_bits();
+    let biased = (bits >> 52 & 0x7ff) as i32;
+    let fraction = bits & ((1 << 52) - 1);
+    if biased == 0 {
+        (fraction, -1074)
+    } else {
+        (fraction | 1 << 52, biased - 1075)
     }
-    e
+}
+
+/// `v / 2^shift` rounded to the nearest integer, ties to even, for
+/// `1 <= shift < 64` and `v < 2^62`: adding just under half, plus one more
+/// when the kept part is odd, carries exactly when the dropped part is
+/// above half, or at half with an odd kept part.
+pub(crate) fn round_shift_even(v: u64, shift: i32) -> u64 {
+    (v + (1 << (shift - 1)) - 1 + (v >> shift & 1)) >> shift
 }
 
 #[cfg(test)]

@@ -9,11 +9,11 @@
 //! strategy, or FP22 when modelling "keep everything in the tensor core
 //! registers" (the behaviour the paper warns about).
 
+use crate::fp22::{round_to_mantissa_bits, Fp22, FP22_MANTISSA_BITS};
 use crate::matrix::Matrix;
 use crate::minifloat::Format;
 use crate::quant::{quantize_per_tensor, BlockQuantized, TileQuantized};
-use crate::tensorcore::{align_truncate_sum, MMA_K};
-use crate::Fp22;
+use crate::tensorcore::{max_finite_abs_bits, truncate_sum, MMA_K};
 use serde::{Deserialize, Serialize};
 
 /// Where the *scaled* per-chunk partial sums accumulate.
@@ -75,48 +75,63 @@ impl Fp8Gemm {
     }
 
     /// Execute the emulated GEMM.
+    ///
+    /// Chunk by chunk along K: each output's FP22 partial over the chunk is
+    /// scaled and promoted into that output's main accumulator, so every
+    /// accumulator sees the same additions in the same order as a
+    /// per-output loop over chunks.
     #[must_use]
     pub fn execute(&self) -> Matrix {
         let (m, k, n) = (self.a.rows, self.a.cols, self.b.cols);
         let chunk = self.cfg.chunk;
-        let mut out = Matrix::zeros(m, n);
-        let mut prod = vec![0f64; chunk];
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc_f32 = 0f32;
-                let mut acc_fp22 = Fp22::new();
-                let mut acc_exact = 0f64;
-                let mut c0 = 0usize;
-                while c0 < k {
-                    let c1 = (c0 + chunk).min(k);
+        // Main accumulators; an FP32 or FP22 one holds its register value
+        // exactly.
+        let mut accs = vec![0f64; m * n];
+        // One K-chunk of B column by column, so each dot product reads both
+        // operands contiguously.
+        let mut b_chunk = vec![0f64; chunk * n];
+        let mut b_scales = vec![0f64; n];
+        let mut prod = [0f64; MMA_K];
+        for c0 in (0..k).step_by(chunk) {
+            let len = chunk.min(k - c0);
+            for kk in 0..len {
+                for j in 0..n {
+                    b_chunk[j * len + kk] = self.b.codes[(c0 + kk) * n + j];
+                }
+            }
+            for (j, s) in b_scales.iter_mut().enumerate() {
+                *s = self.b.scale_at(c0, j);
+            }
+            for i in 0..m {
+                let a_chunk = &self.a.codes[i * k + c0..i * k + c0 + len];
+                let a_scale = self.a.scale_at(i, c0);
+                let outputs = accs[i * n..(i + 1) * n].iter_mut().zip(&b_scales);
+                for ((acc, b_scale), b_col) in outputs.zip(b_chunk.chunks_exact(len)) {
                     // Tensor-core portion: FP22 accumulation of aligned,
-                    // truncated 32-product sums over this chunk.
+                    // truncated 32-product sums over this chunk, each
+                    // group's largest magnitude found as it is multiplied.
                     let mut partial = Fp22::new();
-                    for (kk, p) in (c0..c1).zip(prod.iter_mut()) {
-                        *p = self.a.codes[i * k + kk] * self.b.codes[kk * n + j];
-                    }
-                    for sub in prod[..c1 - c0].chunks(MMA_K) {
-                        partial = partial + align_truncate_sum(sub);
+                    for (a_group, b_group) in a_chunk.chunks(MMA_K).zip(b_col.chunks(MMA_K)) {
+                        let mut max_abs = 0;
+                        for ((p, x), y) in prod.iter_mut().zip(a_group).zip(b_group) {
+                            *p = x * y;
+                            max_abs = max_finite_abs_bits(max_abs, *p);
+                        }
+                        partial = partial + truncate_sum(&prod[..a_group.len()], max_abs);
                     }
                     // CUDA-core portion: dequantize and promote.
-                    let scale = self.a.scale_at(i, c0) * self.b.scale_at(c0, j);
-                    let scaled = partial.to_f64() * scale;
-                    match self.cfg.main_acc {
-                        MainAccumulator::Fp32 => acc_f32 += scaled as f32,
-                        MainAccumulator::Fp22 => acc_fp22 = acc_fp22 + scaled,
-                        MainAccumulator::Exact => acc_exact += scaled,
-                    }
-                    c0 = c1;
+                    let scaled = partial.to_f64() * (a_scale * b_scale);
+                    *acc = match self.cfg.main_acc {
+                        MainAccumulator::Fp32 => f64::from(*acc as f32 + scaled as f32),
+                        MainAccumulator::Fp22 => {
+                            round_to_mantissa_bits(*acc + scaled, FP22_MANTISSA_BITS)
+                        }
+                        MainAccumulator::Exact => *acc + scaled,
+                    };
                 }
-                let v = match self.cfg.main_acc {
-                    MainAccumulator::Fp32 => f64::from(acc_f32),
-                    MainAccumulator::Fp22 => acc_fp22.to_f64(),
-                    MainAccumulator::Exact => acc_exact,
-                };
-                out.set(i, j, v as f32);
             }
         }
-        out
+        Matrix::from_vec(m, n, accs.iter().map(|v| *v as f32).collect())
     }
 }
 

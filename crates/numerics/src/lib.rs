@@ -44,6 +44,8 @@ pub mod matrix;
 pub mod metrics;
 pub mod minifloat;
 pub mod quant;
+#[cfg(test)]
+mod reference;
 pub mod tensorcore;
 
 pub use fp22::Fp22;

@@ -7,7 +7,14 @@
 //! used by FP8 training frameworks (values beyond the max finite magnitude
 //! clamp to it rather than becoming infinity/NaN), which is also what
 //! DeepSeek-V3's quantizer relies on.
+//!
+//! Both directions work on IEEE-754 bits: every scaling between an `f64`
+//! and a format's grid is by a power of two, so rounding is an integer
+//! operation on the `f64`'s significand, and a code decodes by assembling
+//! the `f64`'s fields. E4M3 and E5M2 decode from 256-entry tables built at
+//! compile time.
 
+use crate::fp22::{exponent_of, round_shift_even, significand};
 use serde::{Deserialize, Serialize};
 
 /// Layout and semantics of a binary minifloat format.
@@ -17,6 +24,9 @@ use serde::{Deserialize, Serialize};
 /// supported. `finite_only` selects OCP-FP8-E4M3-style semantics where the
 /// top exponent code is reused for normal values (only the all-ones
 /// exponent+mantissa pattern is NaN and there is no infinity).
+///
+/// The codec assumes every value of the format is a normal `f64`, which
+/// holds up to 10 exponent bits, and a code of at most 31 bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Format {
     /// Number of exponent bits.
@@ -66,136 +76,126 @@ impl Format {
     /// Largest finite representable magnitude.
     #[must_use]
     pub fn max_finite(&self) -> f64 {
-        let e = self.max_biased_exp() - self.bias();
-        let mut man_max = (1u64 << self.man_bits) - 1;
-        if self.finite_only {
-            // The all-ones exponent + all-ones mantissa pattern is NaN, so
-            // the largest finite value has mantissa 111...0.
-            man_max &= !1;
-        }
-        let frac = 1.0 + man_max as f64 / (1u64 << self.man_bits) as f64;
-        frac * 2f64.powi(e)
+        self.decode(self.max_finite_pattern())
     }
 
     /// Smallest positive normal magnitude.
     #[must_use]
     pub fn min_normal(&self) -> f64 {
-        2f64.powi(1 - self.bias())
+        self.decode(1 << self.man_bits)
     }
 
     /// Smallest positive subnormal magnitude.
     #[must_use]
     pub fn min_subnormal(&self) -> f64 {
-        2f64.powi(1 - self.bias() - self.man_bits as i32)
+        self.decode(1)
     }
 
     /// Encode `x` to the nearest representable value's bit pattern
     /// (round-to-nearest, ties-to-even; magnitudes beyond
-    /// [`max_finite`](Self::max_finite) saturate to it).
+    /// [`max_finite`](Self::max_finite) saturate to it, and so do the
+    /// infinities of a finite-only format).
     #[must_use]
+    #[inline]
     pub fn encode(&self, x: f64) -> u32 {
-        let sign = if x.is_sign_negative() { 1u32 << (self.exp_bits + self.man_bits) } else { 0 };
+        let sign = ((x.to_bits() >> 63) as u32) << (self.exp_bits + self.man_bits);
         if x.is_nan() {
             return sign | self.nan_pattern();
         }
-        let mag = x.abs();
-        if mag == 0.0 {
-            return sign;
+        let max = self.max_finite_pattern();
+        if x.is_infinite() {
+            // IEEE-style formats keep infinity; finite-only ones saturate.
+            return sign | if self.finite_only { max } else { self.inf_pattern() };
         }
-        if !self.finite_only && mag.is_infinite() {
-            // IEEE-style formats keep infinity.
-            let inf = ((1u32 << self.exp_bits) - 1) << self.man_bits;
-            return sign | inf;
+        if x == 0.0 {
+            return sign;
         }
         // Round first, then saturate: a value that rounds *down* into range
         // must not be clamped prematurely.
-        let (e, frac_bits) = self.round_magnitude(mag);
-        if e > self.max_biased_exp() || self.frac_overflows(e, frac_bits) {
-            return sign | self.max_finite_pattern();
-        }
-        sign | ((e as u32) << self.man_bits) | frac_bits
+        sign | self.round_magnitude(x).min(u64::from(max)) as u32
     }
 
-    /// True if the rounded value at biased exponent `e` exceeds the format's
-    /// largest finite encoding.
-    fn frac_overflows(&self, e: i32, frac: u32) -> bool {
-        if e < self.max_biased_exp() {
-            return false;
-        }
-        let mut man_max = (1u32 << self.man_bits) - 1;
-        if self.finite_only {
-            man_max &= !1;
-        }
-        frac > man_max
-    }
-
-    /// Round `mag > 0` to the format's grid, returning (biased exponent,
-    /// fraction bits). A biased exponent of 0 means subnormal. May return an
-    /// exponent above `max_biased_exp`, which the caller treats as overflow.
-    fn round_magnitude(&self, mag: f64) -> (i32, u32) {
-        let bias = self.bias();
-        // Unbiased exponent of the representable binade containing mag.
-        let mut e_unb = mag.log2().floor() as i32;
-        // Guard against log2 imprecision at binade edges.
-        if 2f64.powi(e_unb + 1) <= mag {
-            e_unb += 1;
-        } else if 2f64.powi(e_unb) > mag {
-            e_unb -= 1;
-        }
-        let min_unb = 1 - bias;
-        let (scale_exp, implicit_one) = if e_unb < min_unb {
-            (min_unb, false) // subnormal range
-        } else {
-            (e_unb, true)
+    /// The magnitude bit pattern (biased exponent and fraction) of finite
+    /// nonzero `|x|` rounded to the format's grid. The pattern may lie above
+    /// the largest finite encoding, which the caller treats as overflow.
+    ///
+    /// Works on the IEEE-754 bits of `x`: `|x| = sig · 2^lsb` exactly, and
+    /// the format's grid step in `x`'s binade is a power of two, so rounding
+    /// is an integer shift of `sig` with a ties-to-even increment.
+    #[inline]
+    fn round_magnitude(&self, x: f64) -> u64 {
+        let (sig, lsb) = significand(x);
+        let e = exponent_of(x);
+        let min_e = 1 - self.bias();
+        // Grid step 2^(max(e, min_e) - man_bits), in units of 2^lsb.
+        let shift = e.max(min_e) - self.man_bits as i32 - lsb;
+        let k = match shift {
+            ..=0 => sig << -shift,
+            1..=63 => round_shift_even(sig, shift),
+            _ => 0,
         };
-        let frac = mag / 2f64.powi(scale_exp); // in [0,2) normally
-        let steps = (1u64 << self.man_bits) as f64;
-        let units = frac * steps; // representable values are integers here
-        let mut k = round_ties_even(units);
-        let mut e = if implicit_one { scale_exp + bias } else { 0 };
-        let full = 1u64 << self.man_bits;
-        if implicit_one {
-            // k in [steps, 2*steps]; 2*steps means carry to next binade.
-            if k >= 2 * full {
-                e += 1;
-                k = full;
-            }
-            (e, (k - full) as u32)
-        } else {
-            // Subnormal: k in [0, steps]; steps means promotion to min normal.
-            if k >= full {
-                (1, (k - full) as u32)
-            } else {
-                (0, k as u32)
-            }
-        }
+        // `k` counts grid steps. A normal value's k includes the implicit
+        // one (2^man_bits), so it adds onto the biased exponent less one:
+        // a carry out of the fraction then bumps the exponent, and a
+        // subnormal k that reaches 2^man_bits becomes the smallest normal.
+        let below = ((e - min_e).max(0) as u64) << self.man_bits;
+        below + k
     }
 
     /// Decode a bit pattern to `f64`. Bits above
     /// [`total_bits`](Self::total_bits) are ignored.
     #[must_use]
+    #[inline]
     pub fn decode(&self, bits: u32) -> f64 {
+        match *self {
+            Format::E4M3 => E4M3_DECODE[(bits & 0xff) as usize],
+            Format::E5M2 => E5M2_DECODE[(bits & 0xff) as usize],
+            _ => self.decode_bits(bits),
+        }
+    }
+
+    /// [`decode`](Self::decode) without the 8-bit tables: the `f64` is
+    /// assembled from the code's sign, exponent and fraction fields.
+    const fn decode_bits(&self, bits: u32) -> f64 {
         let bits = bits & ((1u32 << self.total_bits()) - 1);
-        let sign = if bits >> (self.exp_bits + self.man_bits) & 1 == 1 { -1.0 } else { 1.0 };
+        let sign = ((bits >> (self.exp_bits + self.man_bits) & 1) as u64) << 63;
         let e = (bits >> self.man_bits) & ((1 << self.exp_bits) - 1);
-        let m = bits & ((1 << self.man_bits) - 1);
-        let bias = self.bias();
+        let m = (bits & ((1 << self.man_bits) - 1)) as u64;
         let top = (1u32 << self.exp_bits) - 1;
         if e == top && !self.finite_only {
-            if m == 0 {
-                return sign * f64::INFINITY;
-            }
-            return f64::NAN;
+            return if m == 0 { f64::from_bits(sign | f64::INFINITY.to_bits()) } else { f64::NAN };
         }
         if self.finite_only && e == top && m == (1 << self.man_bits) - 1 {
             return f64::NAN;
         }
-        if e == 0 {
-            let frac = m as f64 / (1u64 << self.man_bits) as f64;
-            return sign * frac * 2f64.powi(1 - bias);
+        // |value| = sig · 2^lsb; subnormal codes have no implicit one.
+        let (sig, lsb) = if e == 0 {
+            (m, 1 - self.bias() - self.man_bits as i32)
+        } else {
+            (m | 1 << self.man_bits, e as i32 - self.bias() - self.man_bits as i32)
+        };
+        if sig == 0 {
+            return f64::from_bits(sign);
         }
-        let frac = 1.0 + m as f64 / (1u64 << self.man_bits) as f64;
-        sign * frac * 2f64.powi(e as i32 - bias)
+        let lead = 63 - sig.leading_zeros();
+        let fraction = (sig << (52 - lead)) & ((1 << 52) - 1);
+        let biased = (lsb + lead as i32 + 1023) as u64;
+        f64::from_bits(sign | biased << 52 | fraction)
+    }
+
+    /// The value of every 8-bit code, built at compile time.
+    const fn decode_table(&self) -> [f64; 256] {
+        let mut table = [0.0; 256];
+        let mut code = 0;
+        while code < 256 {
+            table[code] = self.decode_bits(code as u32);
+            code += 1;
+        }
+        table
+    }
+
+    fn inf_pattern(&self) -> u32 {
+        ((1u32 << self.exp_bits) - 1) << self.man_bits
     }
 
     fn nan_pattern(&self) -> u32 {
@@ -203,18 +203,18 @@ impl Format {
             // all-ones exponent and mantissa
             (1u32 << (self.exp_bits + self.man_bits)) - 1
         } else {
-            let exp = ((1u32 << self.exp_bits) - 1) << self.man_bits;
-            exp | 1 // quiet-ish NaN: nonzero mantissa
+            self.inf_pattern() | 1 // quiet-ish NaN: nonzero mantissa
         }
     }
 
     fn max_finite_pattern(&self) -> u32 {
-        let e = self.max_biased_exp() as u32;
         let mut man_max = (1u32 << self.man_bits) - 1;
         if self.finite_only {
+            // The all-ones exponent + all-ones mantissa pattern is NaN, so
+            // the largest finite value has mantissa 111...0.
             man_max &= !1;
         }
-        (e << self.man_bits) | man_max
+        (self.max_biased_exp() as u32) << self.man_bits | man_max
     }
 
     /// Quantize `x` through the format: encode then decode.
@@ -222,6 +222,7 @@ impl Format {
     /// This is the "cast to FP8 and back" primitive used throughout the
     /// quantization and training experiments.
     #[must_use]
+    #[inline]
     pub fn quantize(&self, x: f64) -> f64 {
         self.decode(self.encode(x))
     }
@@ -229,25 +230,14 @@ impl Format {
     /// Number of finite representable values (for diagnostics).
     #[must_use]
     pub fn finite_count(&self) -> u64 {
-        let per_sign = ((self.max_biased_exp() as u64) << self.man_bits)
-            + if self.finite_only { (1u64 << self.man_bits) - 1 } else { 1u64 << self.man_bits };
-        // `per_sign` counts every finite pattern of one sign including zero;
+        // Patterns 0..=max_finite_pattern of one sign are all finite;
         // +0 and -0 collapse to a single logical value.
-        2 * per_sign - 1
+        2 * (u64::from(self.max_finite_pattern()) + 1) - 1
     }
 }
 
-/// Round to nearest integer with ties-to-even, on a non-negative input.
-fn round_ties_even(x: f64) -> u64 {
-    let floor = x.floor();
-    let diff = x - floor;
-    let f = floor as u64;
-    if diff > 0.5 || (diff == 0.5 && !f.is_multiple_of(2)) {
-        f + 1
-    } else {
-        f
-    }
-}
+static E4M3_DECODE: [f64; 256] = Format::E4M3.decode_table();
+static E5M2_DECODE: [f64; 256] = Format::E5M2.decode_table();
 
 macro_rules! concrete_minifloat {
     ($(#[$doc:meta])* $name:ident, $store:ty, $format:expr) => {

@@ -54,11 +54,30 @@ impl Accumulation {
 #[must_use]
 pub fn align_truncate_sum(products: &[f64]) -> f64 {
     debug_assert!(products.len() <= MMA_K);
-    let max_e =
-        products.iter().filter(|p| **p != 0.0 && p.is_finite()).map(|p| exponent_of(*p)).max();
-    let Some(max_e) = max_e else {
+    let max_abs = products.iter().fold(0, |max, p| max_finite_abs_bits(max, *p));
+    truncate_sum(products, max_abs)
+}
+
+/// The larger of `max` and the magnitude bits of `p`, skipping infinities
+/// and NaN. For non-negative `f64`s the bit patterns order like the values,
+/// so the fold's result is the bits of the largest finite magnitude, and 0
+/// when every product is zero or non-finite.
+pub(crate) fn max_finite_abs_bits(max: u64, p: f64) -> u64 {
+    let bits = p.abs().to_bits();
+    if bits < f64::INFINITY.to_bits() && bits > max {
+        bits
+    } else {
+        max
+    }
+}
+
+/// The second half of [`align_truncate_sum`], given the fold of
+/// [`max_finite_abs_bits`] over `products`.
+pub(crate) fn truncate_sum(products: &[f64], max_abs_bits: u64) -> f64 {
+    if max_abs_bits == 0 {
         return products.iter().sum(); // all zero (or non-finite propagates)
-    };
+    }
+    let max_e = exponent_of(f64::from_bits(max_abs_bits));
     products.iter().map(|&p| truncate_at_exponent(p, max_e, FP22_MANTISSA_BITS)).sum()
 }
 

@@ -3,9 +3,10 @@
 #
 # Every bench target writes BENCH_<name>.json at the repo root in a
 # shared schema: {"bench": "<name>", "metrics": {"key": number, ...}}.
-# The gate compares lower-is-better keys (suffix `_ns` or `_ratio`) and
-# fails when a new value regresses more than 25% over the old one.
-# Throughput-style keys (any other suffix) are informational only.
+# The gate compares lower-is-better keys (suffix `_ns` or `_ratio`, or
+# nanoseconds per unit of work, `_ns_per_<unit>`) and fails when a new
+# value regresses more than 25% over the old one. Throughput-style keys
+# (any other suffix) are informational only.
 #
 # Usage:
 #   scripts/bench_gate.sh compare OLD.json NEW.json
@@ -39,7 +40,7 @@ compare() {
   fi
   while read -r key oldv; do
     case "$key" in
-    *_ns | *_ratio) ;;
+    *_ns | *_ns_per_* | *_ratio) ;;
     *) continue ;;
     esac
     newv=$(metrics "$new" | awk -v k="$key" '$1 == k { print $2 }')

@@ -82,6 +82,9 @@ scripts/bench_gate.sh run resilience
 echo "==> bench gate: FlowSim/ChaosSim solver costs, no >25% regression"
 scripts/bench_gate.sh run netchaos
 
+echo "==> bench gate: FP8/BF16 codec, tensor-core group and FP8 GEMM costs, no >25% regression"
+scripts/bench_gate.sh run numerics
+
 echo "==> examples build"
 cargo build --release --offline --examples
 
